@@ -14,15 +14,15 @@
 //! to lookahead; [`CmbStats::nulls_sent`] exposes it and experiment E4
 //! sweeps it.
 
-use crate::lp::{
-    in_neighbors, out_neighbors, tie_key, validate_edges, LogicalProcess, LpCtx, LpId, Outgoing,
-};
-use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime, NO_PARENT};
+use crate::kernel::{check_conservative, run_per_thread, safe_time, Kernel};
+pub use crate::lp::InitialEvents;
+use crate::lp::*;
+use lsds_core::{EventQueue, ScheduledEvent, SimTime};
 use lsds_obs::{
-    EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanKind, SpanTrace,
-    Telemetry, TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
+    EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanTrace, Telemetry,
+    TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
 };
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 
 /// Per-LP execution counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,14 +79,9 @@ impl<L> CmbReport<L> {
 enum Packet<M> {
     /// Promise: no message with timestamp `< ts` will follow on this edge.
     Null { ts: f64 },
-    /// A real message due at `at`, with its deterministic tie-break key
-    /// and the tie key of the event that caused it (for the trace DAG).
-    Event {
-        at: SimTime,
-        tie: u64,
-        parent: u64,
-        msg: M,
-    },
+    /// A real message, carrying its deterministic tie-break key and the
+    /// tie key of the event that caused it (for the trace DAG).
+    Event(ScheduledEvent<M>),
     /// The sender has finished the run; treat its channel clock as +∞.
     Done,
 }
@@ -96,38 +91,32 @@ struct Tagged<M> {
     packet: Packet<M>,
 }
 
-/// Out-edge table: `(destination, its channel, last promised bound)`.
-type OutEdges<'a, M> = Vec<(LpId, &'a Sender<Tagged<M>>, f64)>;
-
-/// Initial-events hook: called once per LP at time zero, before the run.
-pub trait InitialEvents: LogicalProcess {
-    /// Schedules the LP's initial events (local or remote).
-    fn initial_events(&mut self, ctx: &mut LpCtx<'_, Self::Msg>);
+/// Mails `packet` from `src`. A disconnected receiver has already
+/// terminated (its safe time passed t_end), so anything it would still
+/// get lies beyond the horizon — drop, don't panic.
+fn post<M>(tx: &Sender<Tagged<M>>, src: LpId, packet: Packet<M>) {
+    tx.send(Tagged { src, packet }).ok();
 }
 
-struct Engine<'a, L: LogicalProcess, T: Tracer, Y: Telemetry> {
-    me: LpId,
-    lp: L,
+/// The CMB policy around one LP's kernel: input-channel clocks, and the
+/// promised bound per out-edge that null messages advance.
+struct Engine<'a, L: InitialEvents, T: Tracer, Y: Telemetry> {
+    k: Kernel<L>,
     tracer: T,
     tel: Y,
-    /// Pooled (PR 6): payloads park in a slab, the heap orders fixed
-    /// 32-byte records — no per-event boxing in the LP hot loop.
-    queue: PooledQueue<L::Msg, BinaryHeapQueue<u32>>,
-    clock: SimTime,
-    seq: u64,
     /// channel clock per in-neighbor id
     in_clocks: Vec<(LpId, f64)>,
-    /// (dst, sender, last promised lower bound)
-    outs: OutEdges<'a, L::Msg>,
+    /// Per declared out-edge (in the kernel's edge order): the channel and
+    /// the last lower bound promised on it.
+    outs: Vec<(&'a Sender<Tagged<L::Msg>>, f64)>,
     /// Owned: `mpsc::Receiver` is `!Sync`, so each LP thread takes its
     /// receiver with it rather than borrowing from a shared table.
     rx: Receiver<Tagged<L::Msg>>,
     stats: CmbStats,
-    staged: Vec<Outgoing<L::Msg>>,
     t_end: SimTime,
 }
 
-impl<'a, L: LogicalProcess, T: Tracer, Y: Telemetry> Engine<'a, L, T, Y> {
+impl<L: InitialEvents, T: Tracer, Y: Telemetry> Engine<'_, L, T, Y> {
     fn apply(&mut self, tagged: Tagged<L::Msg>) {
         let Some(slot) = self.in_clocks.iter_mut().find(|(id, _)| *id == tagged.src) else {
             debug_assert!(false, "message from undeclared in-neighbor");
@@ -135,171 +124,88 @@ impl<'a, L: LogicalProcess, T: Tracer, Y: Telemetry> Engine<'a, L, T, Y> {
         };
         match tagged.packet {
             Packet::Null { ts } => slot.1 = slot.1.max(ts),
-            Packet::Event {
-                at,
-                tie,
-                parent,
-                msg,
-            } => {
+            Packet::Event(ev) => {
                 // the sender promised (via null messages or earlier events)
                 // that nothing below the channel clock would follow
                 debug_assert!(
-                    at.seconds() >= slot.1,
-                    "causality: LP {} sent event at t={at} below its promised bound {}",
+                    ev.time.seconds() >= slot.1,
+                    "causality: LP {} sent event at t={} below its promised bound {}",
                     tagged.src,
+                    ev.time,
                     slot.1
                 );
-                slot.1 = slot.1.max(at.seconds());
-                self.queue
-                    .insert(ScheduledEvent::with_parent(at, tie, parent, msg));
+                slot.1 = slot.1.max(ev.time.seconds());
+                self.k.queue.insert(ev);
             }
             Packet::Done => slot.1 = f64::INFINITY,
         }
     }
 
-    fn drain_nonblocking(&mut self) {
-        while let Ok(tagged) = self.rx.try_recv() {
-            self.apply(tagged);
-        }
-    }
-
-    fn safe_time(&self) -> f64 {
-        self.in_clocks
-            .iter()
-            .map(|(_, c)| *c)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    fn flush_staged(&mut self) {
-        for out in self.staged.drain(..) {
-            match out {
-                Outgoing::Local { at, parent, msg } => {
-                    let tie = tie_key(self.me, self.seq);
-                    self.seq += 1;
-                    self.queue
-                        .insert(ScheduledEvent::with_parent(at, tie, parent, msg));
-                }
-                Outgoing::Remote {
-                    dst,
-                    at,
-                    parent,
-                    msg,
-                } => {
-                    let tie = tie_key(self.me, self.seq);
-                    self.seq += 1;
-                    let Some((_, tx, last)) = self.outs.iter_mut().find(|(d, _, _)| *d == dst)
-                    else {
-                        debug_assert!(false, "send to undeclared out-neighbor");
-                        continue;
-                    };
-                    // the null messages already sent on this edge promised
-                    // `*last` as a lower bound; an event below it would
-                    // mean our declared lookahead lied
-                    debug_assert!(
-                        at.seconds() >= *last,
-                        "causality: LP {} sending t={at} below its promised bound {last} (lookahead violated)",
-                        self.me
-                    );
-                    // A disconnected receiver has already terminated (its
-                    // safe time passed t_end), so anything we would send
-                    // it now is beyond the horizon — drop, don't panic.
-                    tx.send(Tagged {
-                        src: self.me,
-                        packet: Packet::Event {
-                            at,
-                            tie,
-                            parent,
-                            msg,
-                        },
-                    })
-                    .ok();
-                    *last = last.max(at.seconds());
-                    self.stats.remote_sent += 1;
-                }
-            }
-        }
-    }
-
-    fn handle_one(&mut self, ev: ScheduledEvent<L::Msg>) {
-        let at = ev.time;
-        debug_assert!(at >= self.clock, "causality violation");
-        self.clock = at;
-        self.stats.events += 1;
-        let kind = if T::ENABLED {
-            self.lp.trace_kind(&ev.event)
-        } else {
-            SpanKind::DEFAULT
-        };
-        let token = self.tracer.begin(ev.seq);
-        let mut ctx = LpCtx {
-            now: at,
-            me: self.me,
-            lookahead: self.lp.lookahead(),
-            cause: ev.seq,
-            staged: &mut self.staged,
-        };
-        self.lp.handle(at, ev.event, &mut ctx);
-        self.tracer
-            .record(ev.seq, ev.parent, kind, self.me as u32, at.seconds(), token);
-        self.flush_staged();
-        if Y::ENABLED && self.tel.tick(at.seconds()) {
-            let lane = self.me as u32;
-            self.tel
-                .sample("cmb.queue_len", lane, at.seconds(), self.queue.len() as f64);
-        }
+    /// Mails the kernel's staged remotes down their edges.
+    fn flush(&mut self) {
+        let me = self.k.me();
+        let (outs, stats) = (&mut self.outs, &mut self.stats);
+        self.k.flush(|edge, _, ev| {
+            let (tx, last) = &mut outs[edge];
+            let at = ev.time.seconds();
+            // the null messages already sent on this edge promised
+            // `*last` as a lower bound; an event below it would mean our
+            // declared lookahead lied
+            debug_assert!(
+                at >= *last,
+                "causality: LP {me} sending t={at} below its promised bound {last} (lookahead violated)"
+            );
+            post(tx, me, Packet::Event(ev));
+            *last = last.max(at);
+            stats.remote_sent += 1;
+        });
     }
 
     fn send_nulls(&mut self) {
-        let next_local = self
-            .queue
-            .peek_time()
-            .map_or(f64::INFINITY, |t| t.seconds());
-        let lb = next_local.min(self.safe_time()).min(self.t_end.seconds()) + self.lp.lookahead();
-        for i in 0..self.outs.len() {
-            if lb > self.outs[i].2 {
-                let (_, tx, _) = &self.outs[i];
-                // Terminated receivers no longer need our bound (see
-                // flush_staged): ignore the disconnect.
-                tx.send(Tagged {
-                    src: self.me,
-                    packet: Packet::Null { ts: lb },
-                })
-                .ok();
-                self.outs[i].2 = lb;
+        let me = self.k.me();
+        let lb = self.k.lower_bound(safe_time(&self.in_clocks), self.t_end);
+        for (tx, last) in &mut self.outs {
+            if lb > *last {
+                post(tx, me, Packet::Null { ts: lb });
+                *last = lb;
                 self.stats.nulls_sent += 1;
                 if Y::ENABLED {
-                    self.tel.inc("cmb.nulls", self.me as u32, 1);
+                    self.tel.inc("cmb.nulls", me as u32, 1);
                 }
             }
         }
     }
 
+    fn finish(mut self) -> (L, CmbStats, T, Y) {
+        self.stats.events = self.k.events;
+        (self.k.lp, self.stats, self.tracer, self.tel)
+    }
+
     fn run(mut self) -> (L, CmbStats, T, Y) {
+        let me = self.k.me();
+        self.k.stage_initial();
+        self.flush();
         loop {
-            self.drain_nonblocking();
-            let safe = self.safe_time();
+            while let Ok(tagged) = self.rx.try_recv() {
+                self.apply(tagged);
+            }
+            let safe = safe_time(&self.in_clocks);
             // Process strictly below the safe time (a message may still
             // arrive exactly at `safe`), and never beyond the horizon.
-            while let Some(t) = self.queue.peek_time() {
-                if !(t.seconds() < safe && t <= self.t_end) {
-                    break;
+            while let Some(ev) = self.k.pop(safe, self.t_end) {
+                let at = ev.time.seconds();
+                self.k.deliver(ev, &mut self.tracer);
+                self.flush();
+                if Y::ENABLED && self.tel.tick(at) {
+                    self.tel
+                        .sample("cmb.queue_len", me as u32, at, self.k.queue.len() as f64);
                 }
-                let Some(ev) = self.queue.pop_min() else {
-                    debug_assert!(false, "peeked event vanished");
-                    break;
-                };
-                self.handle_one(ev);
             }
-            let done_locally = self.queue.peek_time().is_none_or(|t| t > self.t_end);
-            if done_locally && safe > self.t_end.seconds() {
-                for (_, tx, _) in &self.outs {
-                    tx.send(Tagged {
-                        src: self.me,
-                        packet: Packet::Done,
-                    })
-                    .ok();
+            if self.k.drained(self.t_end) && safe > self.t_end.seconds() {
+                for (tx, _) in &self.outs {
+                    post(tx, me, Packet::Done);
                 }
-                return (self.lp, self.stats, self.tracer, self.tel);
+                return self.finish();
             }
             // Blocked: publish our lower bound, then wait for progress.
             self.send_nulls();
@@ -308,12 +214,11 @@ impl<'a, L: LogicalProcess, T: Tracer, Y: Telemetry> Engine<'a, L, T, Y> {
             // in-neighbors would spin forever.
             assert!(
                 !self.in_clocks.is_empty(),
-                "LP {} blocked with no in-edges",
-                self.me
+                "LP {me} blocked with no in-edges"
             );
             self.stats.blocks += 1;
             if Y::ENABLED {
-                self.tel.inc("cmb.blocks", self.me as u32, 1);
+                self.tel.inc("cmb.blocks", me as u32, 1);
             }
             // lsds-lint: allow(wall-clock) reason="telemetry measures host time blocked on input; never feeds back into simulated time or delivery order"
             let blocked_from = Y::ENABLED.then(std::time::Instant::now);
@@ -321,16 +226,14 @@ impl<'a, L: LogicalProcess, T: Tracer, Y: Telemetry> Engine<'a, L, T, Y> {
             if let Some(from) = blocked_from {
                 self.tel.inc(
                     "cmb.blocked_ns",
-                    self.me as u32,
+                    me as u32,
                     from.elapsed().as_nanos() as u64,
                 );
             }
             match received {
                 Ok(tagged) => self.apply(tagged),
-                Err(_) => {
-                    // all senders done and channel drained
-                    return (self.lp, self.stats, self.tracer, self.tel);
-                }
+                // all senders done and channel drained
+                Err(_) => return self.finish(),
             }
         }
     }
@@ -416,97 +319,38 @@ where
     T: Tracer + Send,
     Y: Telemetry + Send,
 {
-    let n = lps.len();
-    validate_edges(n, edges);
-    for (i, lp) in lps.iter().enumerate() {
-        assert!(
-            lp.lookahead() > 0.0 && lp.lookahead().is_finite(),
-            "LP {i} must declare positive finite lookahead"
-        );
-    }
-    let mut txs: Vec<Sender<Tagged<L::Msg>>> = Vec::with_capacity(n);
-    let mut rxs: Vec<Option<Receiver<Tagged<L::Msg>>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-
-    let mut results: Vec<Option<(L, CmbStats, T, Y)>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (me, lp) in lps.into_iter().enumerate() {
-            let in_clocks: Vec<(LpId, f64)> = in_neighbors(edges, me)
-                .into_iter()
-                .map(|s| (s, 0.0))
-                .collect();
-            let outs: OutEdges<'_, L::Msg> = out_neighbors(edges, me)
-                .into_iter()
-                .map(|d| (d, &txs[d], 0.0))
-                .collect();
-            // lsds-lint: allow(hot-path-panic) reason="run setup before any event is processed; each index is taken exactly once by construction"
-            let rx = rxs[me].take().expect("receiver taken twice");
-            let tracer = mk_tracer(me);
-            let tel = mk_tel(me);
-            let handle = scope.spawn(move || {
-                let mut engine = Engine {
-                    me,
-                    lp,
-                    tracer,
-                    tel,
-                    queue: PooledQueue::new(BinaryHeapQueue::new()),
-                    clock: SimTime::ZERO,
-                    seq: 0,
-                    in_clocks,
-                    outs,
-                    rx,
-                    stats: CmbStats::default(),
-                    staged: Vec::new(),
-                    t_end,
-                };
-                // initial events at t = 0
-                let la = engine.lp.lookahead();
-                {
-                    let mut ctx = LpCtx {
-                        now: SimTime::ZERO,
-                        me,
-                        lookahead: la,
-                        cause: NO_PARENT,
-                        staged: &mut engine.staged,
-                    };
-                    engine.lp.initial_events(&mut ctx);
-                }
-                engine.flush_staged();
-                engine.run()
-            });
-            handles.push((me, handle));
-        }
-        for (me, handle) in handles {
-            // lsds-lint: allow(hot-path-panic) reason="thread teardown: propagate an LP thread panic to the caller instead of swallowing it"
-            results[me] = Some(handle.join().expect("LP thread panicked"));
-        }
-    });
-
-    let mut lps_out = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
-    let mut tracers = Vec::with_capacity(n);
-    let mut tels = Vec::with_capacity(n);
-    for r in results {
-        // lsds-lint: allow(hot-path-panic) reason="post-run teardown: every LP index was joined above"
-        let (lp, st, tr, tel) = r.expect("missing LP result");
-        lps_out.push(lp);
-        stats.push(st);
-        tracers.push(tr);
-        tels.push(tel);
-    }
-    (
-        CmbReport {
-            lps: lps_out,
-            stats,
+    check_conservative(&lps, edges);
+    let (lps, stats, tracers, tels) = run_per_thread(
+        lps,
+        mk_tracer,
+        mk_tel,
+        |me, lp, rx, mail: &[Sender<Tagged<L::Msg>>], tracer, tel| {
+            let lookahead = lp.lookahead();
+            let outs = out_neighbors(edges, me);
+            Engine {
+                outs: outs.iter().map(|&d| (&mail[d], 0.0)).collect(),
+                k: Kernel::new(me, lp, lookahead, outs),
+                tracer,
+                tel,
+                in_clocks: in_neighbors(edges, me)
+                    .into_iter()
+                    .map(|s| (s, 0.0))
+                    .collect(),
+                rx,
+                stats: CmbStats::default(),
+                t_end,
+            }
+            .run()
         },
-        tracers,
-        tels,
-    )
+        // A dead LP would leave its out-neighbors blocked on its channel
+        // forever: close every out-edge so the survivors finish.
+        |me, mail| {
+            for d in out_neighbors(edges, me) {
+                post(&mail[d], me, Packet::Done);
+            }
+        },
+    );
+    (CmbReport { lps, stats }, tracers, tels)
 }
 
 #[cfg(test)]

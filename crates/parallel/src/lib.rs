@@ -8,8 +8,9 @@
 //! distributed simulations has not significantly impressed the general
 //! simulation community" (Fujimoto 1993) — because "considerable efforts
 //! and expertise are still required to develop efficient simulation
-//! programs". This crate implements the two classical conservative
-//! designs so experiment E4 can quantify exactly that trade-off:
+//! programs". This crate implements four distributed engines and a
+//! sequential oracle as sync policies on one per-LP kernel (`kernel.rs`),
+//! so experiment E4 can quantify exactly that trade-off:
 //!
 //! * [`cmb`] — asynchronous conservative synchronization with **null
 //!   messages** (Chandy–Misra–Bryant). Each logical process advances as
@@ -39,6 +40,7 @@
 #![deny(missing_docs)]
 
 pub mod cmb;
+mod kernel;
 pub mod lp;
 pub mod partition;
 pub mod sequential;
@@ -46,10 +48,10 @@ pub mod timestep;
 pub mod timewarp;
 pub mod worksteal;
 
-pub use cmb::{run_cmb, run_cmb_telemetry, run_cmb_traced, CmbReport, CmbStats, InitialEvents};
-pub use lp::{LogicalProcess, LpCtx, LpId};
+pub use cmb::{run_cmb, run_cmb_telemetry, run_cmb_traced, CmbReport, CmbStats};
+pub use lp::{InitialEvents, LogicalProcess, LpCtx, LpId};
 pub use partition::{
-    block_partition, owned_by, owners, profiled, profiled_from_trace, round_robin_partition,
+    block_partition, owners, profiled, profiled_from_trace, round_robin_partition,
 };
 pub use sequential::{run_sequential, run_sequential_telemetry, SequentialReport};
 pub use timestep::{run_timestep, run_timestep_telemetry, run_timestep_traced, TimestepReport};

@@ -37,6 +37,12 @@ pub trait LogicalProcess: Send {
     }
 }
 
+/// Initial-events hook: called once per LP at time zero, before the run.
+pub trait InitialEvents: LogicalProcess {
+    /// Schedules the LP's initial events (local or remote).
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, Self::Msg>);
+}
+
 /// Outgoing traffic staged by an LP handler. `parent` is the tie key of
 /// the event whose handler staged it (the causal edge of the trace DAG).
 #[derive(Debug)]

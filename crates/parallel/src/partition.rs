@@ -49,17 +49,6 @@ pub fn owners(assignment: &[LpId], n_lps: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Entities owned by `lp` under a given assignment.
-///
-/// Thin wrapper over [`owners`] kept for callers that need a single LP;
-/// anything iterating over *all* LPs should call [`owners`] once instead
-/// of paying a scan per LP.
-pub fn owned_by(assignment: &[LpId], lp: LpId) -> Vec<usize> {
-    let n_lps = assignment.iter().map(|&a| a + 1).max().unwrap_or(0);
-    let mut inverse = owners(assignment, n_lps.max(lp + 1));
-    std::mem::take(&mut inverse[lp])
-}
-
 /// Assigns entities to LPs by **estimated work**, heaviest first onto the
 /// least-loaded LP (longest-processing-time greedy; ties by entity id,
 /// then by LP id — fully deterministic).
@@ -154,30 +143,26 @@ mod tests {
     }
 
     #[test]
-    fn owned_by_inverts_assignment() {
+    fn owners_inverts_assignment() {
         let p = round_robin_partition(9, 3);
-        assert_eq!(owned_by(&p, 1), vec![1, 4, 7]);
-        let total: usize = (0..3).map(|lp| owned_by(&p, lp).len()).sum();
-        assert_eq!(total, 9);
-    }
-
-    #[test]
-    fn owners_matches_owned_by_in_one_pass() {
+        let inv = owners(&p, 3);
+        assert_eq!(inv[1], vec![1, 4, 7]);
+        assert_eq!(inv.iter().map(Vec::len).sum::<usize>(), 9);
         let p = block_partition(11, 4);
         let inv = owners(&p, 4);
         assert_eq!(inv.len(), 4);
         for (lp, owned) in inv.iter().enumerate() {
-            assert_eq!(*owned, owned_by(&p, lp));
+            assert!(owned.iter().all(|&e| p[e] == lp));
         }
-        // trailing empty LPs are represented, not dropped
-        let inv = owners(&[0, 0], 3);
-        assert_eq!(inv, vec![vec![0, 1], vec![], vec![]]);
     }
 
     #[test]
-    fn owned_by_of_unused_lp_is_empty() {
-        assert!(owned_by(&[0, 0, 0], 2).is_empty());
-        assert!(owned_by(&[], 5).is_empty());
+    fn owners_keeps_unused_lps_empty() {
+        // trailing empty LPs are represented, not dropped
+        assert_eq!(owners(&[0, 0], 3), vec![vec![0, 1], vec![], vec![]]);
+        assert!(owners(&[0, 0, 0], 3)[2].is_empty());
+        // an empty assignment leaves every LP empty
+        assert_eq!(owners(&[], 5), vec![Vec::<usize>::new(); 5]);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Sequential reference execution of a
-//! [`LogicalProcess`](crate::lp::LogicalProcess) topology.
+//! Sequential reference execution of a [`LogicalProcess`] topology.
 //!
 //! Runs the *same* LP code the parallel engines run, in a single thread,
 //! with one global event list ordered by `(time, tie key)`. Because the
@@ -9,9 +8,12 @@
 //! and Time Warp deliver — so this executor is the bit-identity oracle the
 //! engine-equivalence and rollback property tests compare against.
 
-use crate::lp::{tie_key, validate_edges, LpCtx, LpId, Outgoing};
-use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime, NO_PARENT};
-use lsds_obs::{EngineTelemetry, NoopTelemetry, Telemetry, TelemetryConfig, TelemetryReport};
+use crate::kernel::{pop_due, Kernel};
+use crate::lp::*;
+use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime};
+use lsds_obs::{
+    EngineTelemetry, NoopTelemetry, NoopTracer, Telemetry, TelemetryConfig, TelemetryReport,
+};
 
 /// Result of a sequential reference run.
 #[derive(Debug)]
@@ -33,14 +35,14 @@ impl<L> SequentialReport<L> {
 /// in global `(time, source LP, sequence)` order.
 ///
 /// `edges` lists the directed channels `(src, dst)` exactly as for
-/// [`crate::run_cmb`]; sends are validated against the same declared
-/// topology. Lookahead is *not* enforced here — the reference delivers
-/// whatever timestamps the LPs produce, which is what lets it double as
-/// the oracle for Time Warp runs whose sends duck below the declared
-/// lookahead (see [`crate::timewarp`]).
+/// [`crate::run_cmb`]; a send over an undeclared edge panics, as on every
+/// edge-taking engine. Lookahead is *not* enforced here — the reference
+/// delivers whatever timestamps the LPs produce, which is what lets it
+/// double as the oracle for Time Warp runs whose sends duck below the
+/// declared lookahead (see [`crate::timewarp`]).
 pub fn run_sequential<L>(lps: Vec<L>, edges: &[(LpId, LpId)], t_end: SimTime) -> SequentialReport<L>
 where
-    L: crate::cmb::InitialEvents,
+    L: InitialEvents,
 {
     run_sequential_with(lps, edges, t_end, NoopTelemetry).0
 }
@@ -58,7 +60,7 @@ pub fn run_sequential_telemetry<L>(
     tcfg: TelemetryConfig,
 ) -> (SequentialReport<L>, TelemetryReport)
 where
-    L: crate::cmb::InitialEvents,
+    L: InitialEvents,
 {
     let (report, tel) = run_sequential_with(lps, edges, t_end, EngineTelemetry::new(tcfg));
     (report, TelemetryReport::merge(vec![tel]))
@@ -71,79 +73,52 @@ fn run_sequential_with<L, Y>(
     mut tel: Y,
 ) -> (SequentialReport<L>, Y)
 where
-    L: crate::cmb::InitialEvents,
+    L: InitialEvents,
     Y: Telemetry,
 {
-    let n = lps.len();
-    validate_edges(n, edges);
-    let mut lps = lps;
-    let mut seqs = vec![0u64; n];
-    let mut events = vec![0u64; n];
-    // One global list; the payload carries its destination LP. The `seq`
-    // field holds the cross-LP tie key, as in the parallel engines.
-    let mut queue: PooledQueue<(LpId, L::Msg), BinaryHeapQueue<u32>> =
-        PooledQueue::new(BinaryHeapQueue::new());
-    let mut staged: Vec<Outgoing<L::Msg>> = Vec::new();
-
-    let flush = |me: LpId,
-                 staged: &mut Vec<Outgoing<L::Msg>>,
-                 seqs: &mut Vec<u64>,
-                 queue: &mut PooledQueue<(LpId, L::Msg), BinaryHeapQueue<u32>>| {
-        for out in staged.drain(..) {
-            let tie = tie_key(me, seqs[me]);
-            seqs[me] += 1;
-            match out {
-                Outgoing::Local { at, parent, msg } => {
-                    queue.insert(ScheduledEvent::with_parent(at, tie, parent, (me, msg)));
-                }
-                Outgoing::Remote {
-                    dst,
-                    at,
-                    parent,
-                    msg,
-                } => {
-                    queue.insert(ScheduledEvent::with_parent(at, tie, parent, (dst, msg)));
-                }
-            }
-        }
+    validate_edges(lps.len(), edges);
+    // Lookahead 0: the reference delivers whatever timestamps the LPs
+    // produce (see `run_sequential`).
+    let mut lps: Vec<Kernel<L>> = lps
+        .into_iter()
+        .enumerate()
+        .map(|(me, lp)| Kernel::new(me, lp, 0.0, out_neighbors(edges, me)))
+        .collect();
+    // One global list instead of the kernels' own (which stay empty); the
+    // payload carries its destination LP. The `seq` field holds the
+    // cross-LP tie key, as in the parallel engines.
+    type Global<M> = PooledQueue<(LpId, M), BinaryHeapQueue<u32>>;
+    let mut queue: Global<L::Msg> = PooledQueue::new(BinaryHeapQueue::new());
+    let flush = |k: &mut Kernel<L>, queue: &mut Global<L::Msg>| {
+        k.out.drain(|to, _, ev| {
+            queue.insert(ScheduledEvent::with_parent(
+                ev.time,
+                ev.seq,
+                ev.parent,
+                (to, ev.event),
+            ));
+        });
     };
 
-    for (me, lp) in lps.iter_mut().enumerate() {
-        let mut ctx = LpCtx {
-            now: SimTime::ZERO,
-            me,
-            lookahead: 0.0,
-            cause: NO_PARENT,
-            staged: &mut staged,
-        };
-        lp.initial_events(&mut ctx);
-        flush(me, &mut staged, &mut seqs, &mut queue);
+    for k in &mut lps {
+        k.stage_initial();
+        flush(k, &mut queue);
     }
-
-    while let Some(t) = queue.peek_time() {
-        if t > t_end {
-            break;
-        }
-        let Some(ev) = queue.pop_min() else {
-            debug_assert!(false, "peeked event vanished");
-            break;
-        };
+    while let Some(ev) = pop_due(&mut queue, f64::INFINITY, t_end) {
         let (dst, msg) = ev.event;
-        events[dst] += 1;
         if Y::ENABLED && tel.tick(ev.time.seconds()) {
             tel.sample("seq.queue_len", 0, ev.time.seconds(), queue.len() as f64);
         }
-        let mut ctx = LpCtx {
-            now: ev.time,
-            me: dst,
-            lookahead: 0.0,
-            cause: ev.seq,
-            staged: &mut staged,
-        };
-        lps[dst].handle(ev.time, msg, &mut ctx);
-        flush(dst, &mut staged, &mut seqs, &mut queue);
+        let k = &mut lps[dst];
+        k.deliver(
+            ScheduledEvent::with_parent(ev.time, ev.seq, ev.parent, msg),
+            &mut NoopTracer,
+        );
+        flush(k, &mut queue);
     }
 
+    let events = lps.iter().map(|k| k.events).collect();
+    let lps = lps.into_iter().map(|k| k.lp).collect();
     (SequentialReport { lps, events }, tel)
 }
 

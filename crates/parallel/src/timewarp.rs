@@ -27,15 +27,15 @@
 //! point of optimism), because a zero-delay cross-LP send would make the
 //! canonical order of equal-time events depend on message arrival timing.
 
-use crate::cmb::InitialEvents;
-use crate::lp::{pack, tie_key, validate_edges, LogicalProcess, LpCtx, LpId, Outgoing};
-use lsds_core::{EventPool, SimTime, NO_PARENT};
+use crate::kernel::{run_per_thread, Outbox};
+use crate::lp::*;
+use lsds_core::{EventPool, ScheduledEvent, SimTime};
 use lsds_obs::{
     EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanKind, SpanTrace,
     Telemetry, TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 
 /// State snapshotting hook for optimistic execution.
 ///
@@ -210,14 +210,9 @@ struct Token {
 }
 
 enum TwPacket<M> {
-    /// A positive message due at `at`, with its deterministic tie-break
-    /// key and the tie key of the causing event (for the trace DAG).
-    Event {
-        at: SimTime,
-        tie: u64,
-        parent: u64,
-        msg: M,
-    },
+    /// A positive message, carrying its deterministic tie-break key and
+    /// the tie key of the causing event (for the trace DAG).
+    Event(ScheduledEvent<M>),
     /// Cancels the positive message with the same `(at, tie)`. Per-edge
     /// FIFO (one mpsc sender per directed pair) guarantees it arrives
     /// after its positive and before any re-sent message reusing the tie.
@@ -228,6 +223,12 @@ enum TwPacket<M> {
     /// around the ring.
     Stop,
 }
+
+/// The lookahead handlers run with. Optimism tolerates sends far below
+/// the declared lookahead — but not zero-delay cross-LP sends, which
+/// would make the canonical order of equal-time events depend on arrival
+/// timing. The smallest positive double excludes exactly 0.
+const OPTIMISTIC_LOOKAHEAD: f64 = f64::MIN_POSITIVE;
 
 /// Sentinel: processed record carries no state snapshot.
 const NO_STATE: u32 = u32::MAX;
@@ -272,13 +273,6 @@ struct SendRec {
     tie: u64,
 }
 
-/// A local schedule on record, so rollback can unschedule it (it will be
-/// regenerated, with the same tie, when the sender re-executes).
-struct LocalRec {
-    at: SimTime,
-    tie: u64,
-}
-
 struct Engine<L: SaveState, T: Tracer, Y: Telemetry> {
     me: LpId,
     n: usize,
@@ -294,9 +288,13 @@ struct Engine<L: SaveState, T: Tracer, Y: Telemetry> {
     /// Speculative executions in execution order (time-monotone).
     processed: VecDeque<Done>,
     sends: VecDeque<SendRec>,
-    locals: VecDeque<LocalRec>,
+    /// Pending-queue keys of local schedules on record, so rollback can
+    /// unschedule them (they are regenerated, with the same ties, when
+    /// their sender re-executes).
+    locals: VecDeque<u128>,
     clock: SimTime,
-    seq: u64,
+    /// Staged sends, the tie-key sequence and the declared out-edges.
+    out: Outbox<L::Msg>,
     /// Events executed since the last snapshot.
     gap: u32,
     gvt: f64,
@@ -309,7 +307,6 @@ struct Engine<L: SaveState, T: Tracer, Y: Telemetry> {
     min_sent: f64,
     txs: Vec<Sender<TwPacket<L::Msg>>>,
     rx: Receiver<TwPacket<L::Msg>>,
-    staged: Vec<Outgoing<L::Msg>>,
     stats: TwStats,
     cfg: TwConfig,
     t_end: SimTime,
@@ -324,14 +321,9 @@ where
 {
     fn apply(&mut self, packet: TwPacket<L::Msg>) {
         match packet {
-            TwPacket::Event {
-                at,
-                tie,
-                parent,
-                msg,
-            } => {
+            TwPacket::Event(ev) => {
                 self.recv_delta += 1;
-                self.insert_event(at, tie, parent, msg);
+                self.insert_event(ev.time, ev.seq, ev.parent, ev.event);
             }
             TwPacket::Anti { at, tie } => {
                 self.recv_delta += 1;
@@ -426,11 +418,11 @@ where
             // re-inserted by a later (already undone) record. They will
             // be regenerated — same ties — when `rec` re-executes.
             for _ in 0..rec.n_locals {
-                let Some(lr) = self.locals.pop_back() else {
+                let Some(key) = self.locals.pop_back() else {
                     debug_assert!(false, "local-schedule record missing");
                     break;
                 };
-                if let Some(pe) = self.pending.remove(&pack(lr.at, lr.tie)) {
+                if let Some(pe) = self.pending.remove(&key) {
                     self.pool.claim(pe.slot);
                 } else {
                     debug_assert!(false, "rolled-back local child not pending");
@@ -470,7 +462,7 @@ where
                     return;
                 };
                 self.lp.restore(state);
-                self.seq = rec.seq_before;
+                self.out.seq = rec.seq_before;
             } else if rec.state_slot != NO_STATE {
                 self.states.claim(rec.state_slot);
             }
@@ -523,7 +515,7 @@ where
             NO_STATE
         };
         self.gap += 1;
-        let seq_before = self.seq;
+        let seq_before = self.out.seq;
         let kind = if T::ENABLED {
             self.lp.trace_kind(&msg)
         } else {
@@ -535,17 +527,7 @@ where
         } else {
             None
         };
-        let mut ctx = LpCtx {
-            now: at,
-            me: self.me,
-            // Optimism tolerates sends far below the declared lookahead —
-            // but not zero-delay cross-LP sends, which would make the
-            // canonical order of equal-time events depend on arrival
-            // timing. The smallest positive double excludes exactly 0.
-            lookahead: f64::MIN_POSITIVE,
-            cause: tie,
-            staged: &mut self.staged,
-        };
+        let mut ctx = self.out.ctx(at, OPTIMISTIC_LOOKAHEAD, tie);
         self.lp.handle(at, msg, &mut ctx);
         let wall_ns = wall_start.map_or(0, |s| {
             u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -584,41 +566,29 @@ where
     fn flush_staged(&mut self) -> (u32, u32) {
         let mut n_sends = 0u32;
         let mut n_locals = 0u32;
-        for out in self.staged.drain(..) {
-            let tie = tie_key(self.me, self.seq);
-            self.seq += 1;
-            match out {
-                Outgoing::Local { at, parent, msg } => {
-                    let slot = self.pool.park(msg);
-                    let prev = self
-                        .pending
-                        .insert(pack(at, tie), PendingEv { slot, parent });
-                    debug_assert!(prev.is_none(), "duplicate local event key");
-                    self.locals.push_back(LocalRec { at, tie });
-                    n_locals += 1;
-                }
-                Outgoing::Remote {
-                    dst,
-                    at,
-                    parent,
-                    msg,
-                } => {
-                    self.txs[dst]
-                        .send(TwPacket::Event {
-                            at,
-                            tie,
-                            parent,
-                            msg,
-                        })
-                        .ok();
-                    self.sends.push_back(SendRec { dst, at, tie });
-                    self.stats.remote_sent += 1;
-                    self.sent_delta += 1;
-                    self.min_sent = self.min_sent.min(at.seconds());
-                    n_sends += 1;
-                }
+        self.out.drain(|to, edge, ev| match edge {
+            None => {
+                let key = pack(ev.time, ev.seq);
+                let slot = self.pool.park(ev.event);
+                let parent = ev.parent;
+                let prev = self.pending.insert(key, PendingEv { slot, parent });
+                debug_assert!(prev.is_none(), "duplicate local event key");
+                self.locals.push_back(key);
+                n_locals += 1;
             }
-        }
+            Some(_) => {
+                self.sends.push_back(SendRec {
+                    dst: to,
+                    at: ev.time,
+                    tie: ev.seq,
+                });
+                self.min_sent = self.min_sent.min(ev.time.seconds());
+                self.txs[to].send(TwPacket::Event(ev)).ok();
+                self.stats.remote_sent += 1;
+                self.sent_delta += 1;
+                n_sends += 1;
+            }
+        });
         (n_sends, n_locals)
     }
 
@@ -883,104 +853,65 @@ where
     assert!(cfg.checkpoint_every >= 1, "checkpoint_every must be ≥ 1");
     assert!(cfg.window >= 0.0, "window must be non-negative");
     validate_edges(n, edges);
-    let mut txs: Vec<Sender<TwPacket<L::Msg>>> = Vec::with_capacity(n);
-    let mut rxs: Vec<Option<Receiver<TwPacket<L::Msg>>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = channel();
-        txs.push(tx);
-        rxs.push(Some(rx));
-    }
-
-    let mut results: Vec<Option<(L, TwStats, T, Y)>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (me, lp) in lps.into_iter().enumerate() {
-            // lsds-lint: allow(hot-path-panic) reason="run setup before any event is processed; each index is taken exactly once by construction"
-            let rx = rxs[me].take().expect("receiver taken twice");
-            let txs = txs.clone();
-            let tracer = mk_tracer(me);
-            let tel = mk_tel(me);
-            let handle = scope.spawn(move || {
-                let mut engine = Engine {
-                    me,
-                    n,
-                    lp,
-                    tracer,
-                    tel,
-                    pending: BTreeMap::new(),
-                    pool: EventPool::new(),
-                    states: EventPool::new(),
-                    processed: VecDeque::new(),
-                    sends: VecDeque::new(),
-                    locals: VecDeque::new(),
-                    clock: SimTime::ZERO,
-                    seq: 0,
-                    gap: 0,
+    let (lps, stats, tracers, tels) = run_per_thread(
+        lps,
+        mk_tracer,
+        mk_tel,
+        |me, lp, rx, mail: &[Sender<TwPacket<L::Msg>>], tracer, tel| {
+            let mut engine = Engine {
+                me,
+                n,
+                lp,
+                tracer,
+                tel,
+                pending: BTreeMap::new(),
+                pool: EventPool::new(),
+                states: EventPool::new(),
+                processed: VecDeque::new(),
+                sends: VecDeque::new(),
+                locals: VecDeque::new(),
+                clock: SimTime::ZERO,
+                out: Outbox::new(me, out_neighbors(edges, me)),
+                gap: 0,
+                gvt: 0.0,
+                token: None,
+                stop: false,
+                sent_delta: 0,
+                recv_delta: 0,
+                min_sent: f64::INFINITY,
+                txs: mail.to_vec(),
+                rx,
+                stats: TwStats::default(),
+                cfg,
+                t_end,
+            };
+            engine
+                .out
+                .stage_initial(&mut engine.lp, OPTIMISTIC_LOOKAHEAD);
+            engine.flush_staged();
+            if me == 0 {
+                // Seed the GVT ring; the seed visit (round 0) only
+                // folds and forwards, round 1 starts circulating.
+                engine.token = Some(Token {
+                    round: 0,
+                    min: f64::INFINITY,
+                    outstanding: 0,
                     gvt: 0.0,
-                    token: None,
-                    stop: false,
-                    sent_delta: 0,
-                    recv_delta: 0,
-                    min_sent: f64::INFINITY,
-                    txs,
-                    rx,
-                    staged: Vec::new(),
-                    stats: TwStats::default(),
-                    cfg,
-                    t_end,
-                };
-                {
-                    let mut ctx = LpCtx {
-                        now: SimTime::ZERO,
-                        me,
-                        lookahead: f64::MIN_POSITIVE,
-                        cause: NO_PARENT,
-                        staged: &mut engine.staged,
-                    };
-                    engine.lp.initial_events(&mut ctx);
-                }
-                engine.flush_staged();
-                if me == 0 {
-                    // Seed the GVT ring; the seed visit (round 0) only
-                    // folds and forwards, round 1 starts circulating.
-                    engine.token = Some(Token {
-                        round: 0,
-                        min: f64::INFINITY,
-                        outstanding: 0,
-                        gvt: 0.0,
-                    });
-                }
-                engine.run()
-            });
-            handles.push((me, handle));
-        }
-        for (me, handle) in handles {
-            // lsds-lint: allow(hot-path-panic) reason="thread teardown: propagate an LP thread panic to the caller instead of swallowing it"
-            results[me] = Some(handle.join().expect("LP thread panicked"));
-        }
-    });
-    drop(txs);
-
-    let mut lps_out = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(n);
-    let mut tracers = Vec::with_capacity(n);
-    let mut tels = Vec::with_capacity(n);
-    for r in results {
-        // lsds-lint: allow(hot-path-panic) reason="post-run teardown: every LP index was joined above"
-        let (lp, st, tr, tel) = r.expect("missing LP result");
-        lps_out.push(lp);
-        stats.push(st);
-        tracers.push(tr);
-        tels.push(tel);
-    }
-    (
-        TwReport {
-            lps: lps_out,
-            stats,
+                });
+            }
+            engine.run()
         },
-        tracers,
-        tels,
-    )
+        // A dead LP breaks the GVT ring and leaves its peers blocked
+        // forever: stop every other LP.
+        |me, mail| {
+            for (d, tx) in mail.iter().enumerate() {
+                if d != me {
+                    tx.send(TwPacket::Stop).ok();
+                }
+            }
+        },
+    );
+    (TwReport { lps, stats }, tracers, tels)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! round-trip plus an OS thread wake-up. (The optimistic analog — an LP
 //! is runnable when it holds unprocessed events above GVT — drops into
 //! the same scheduler skeleton; [`crate::timewarp`] keeps thread-per-LP
-//! for now and shares the ordering helpers in `lp.rs` instead.)
+//! for now.) Every LP runs on the per-LP kernel shared by all engines.
 //!
 //! Determinism is inherited wholesale: events carry the same `(time,
 //! source LP, sequence)` tie keys, each LP delivers in ascending
@@ -47,11 +47,12 @@
 //! from the drained queue — above the in-flight events' timestamps — and
 //! the receiver could run past a message that had not landed yet.
 
-use crate::cmb::InitialEvents;
-use crate::lp::{tie_key, validate_edges, LogicalProcess, LpCtx, LpId, Outgoing};
-use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime, NO_PARENT};
+use crate::kernel::{check_conservative, safe_time, Kernel};
+use crate::lp::*;
+use lsds_core::{EventQueue, ScheduledEvent, SimTime};
 use lsds_obs::{
-    EngineTelemetry, NoopTelemetry, Registry, Telemetry, TelemetryConfig, TelemetryReport,
+    EngineTelemetry, NoopTelemetry, NoopTracer, Registry, Telemetry, TelemetryConfig,
+    TelemetryReport,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
@@ -201,40 +202,49 @@ impl<L> WsReport<L> {
 
 /// Mutable core of one LP; every access goes through the slot's mutex.
 struct LpState<L: LogicalProcess> {
-    lp: L,
-    lookahead: f64,
-    /// Pooled pending events in `(time, tie)` order.
-    queue: PooledQueue<L::Msg, BinaryHeapQueue<u32>>,
+    k: Kernel<L>,
     /// Channel clock per in-neighbor: lower bound on future arrivals,
     /// written directly by the sending LP's activation.
     in_clocks: Vec<(LpId, f64)>,
     /// Last bound promised on each out-edge (parallel to `LpSlot::outs`);
     /// skips redundant neighbor locking when the promise has not moved.
     out_bounds: Vec<f64>,
-    clock: SimTime,
-    seq: u64,
     done: bool,
-    staged: Vec<Outgoing<L::Msg>>,
     stats: WsStats,
 }
 
 impl<L: LogicalProcess> LpState<L> {
-    fn safe_time(&self) -> f64 {
-        self.in_clocks
-            .iter()
-            .map(|(_, c)| *c)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Lower bound on this LP's future sends: its earliest possible next
-    /// handler time plus lookahead — identical to CMB's null payload.
-    /// (`&mut` only because the pooled queue's peek is `&mut`.)
-    fn lower_bound(&mut self, t_end: SimTime) -> f64 {
-        let next_local = self
-            .queue
-            .peek_time()
-            .map_or(f64::INFINITY, |t| t.seconds());
-        next_local.min(self.safe_time()).min(t_end.seconds()) + self.lookahead
+    /// Drains the kernel's staged sends: locals back into the queue,
+    /// remotes into `outbox` for the delivery phase, raising each edge's
+    /// promised bound to the event it carries.
+    // `always`: see `kernel::Outbox::drain`.
+    #[inline(always)]
+    fn flush(&mut self, outs: &[(LpId, usize)], outbox: &mut Vec<Delivery<L::Msg>>) {
+        let me = self.k.me();
+        let LpState {
+            k,
+            out_bounds,
+            stats,
+            ..
+        } = self;
+        k.flush(|edge, dst, ev| {
+            let at = ev.time.seconds();
+            // Earlier events and bounds on this edge promised
+            // `out_bounds[edge]`; going below it would mean the declared
+            // lookahead lied.
+            debug_assert!(
+                at >= out_bounds[edge],
+                "causality: LP {me} sending t={at} below its promised bound {} (lookahead violated)",
+                out_bounds[edge]
+            );
+            out_bounds[edge] = out_bounds[edge].max(at);
+            stats.remote_sent += 1;
+            outbox.push(Delivery {
+                dst,
+                idx: outs[edge].1,
+                ev,
+            });
+        });
     }
 }
 
@@ -255,7 +265,8 @@ struct LpSlot<L: LogicalProcess> {
     /// build from the same costs) instead of one epoch's noisy sample,
     /// and teardown reports it as [`WsReport::cost_ns`].
     cost_total_ns: AtomicU64,
-    /// Static out-edge table: `(dst, index of this LP in dst.in_clocks)`.
+    /// Static out-edge table, in the kernel's edge order: `(dst, index of
+    /// this LP in dst.in_clocks)`.
     outs: Vec<(LpId, usize)>,
 }
 
@@ -266,10 +277,7 @@ struct Delivery<M> {
     dst: LpId,
     /// Index of the sender in `dst`'s `in_clocks`.
     idx: usize,
-    at: SimTime,
-    tie: u64,
-    parent: u64,
-    msg: M,
+    ev: ScheduledEvent<M>,
 }
 
 struct Scheduler<L: LogicalProcess> {
@@ -320,6 +328,24 @@ impl<L: LogicalProcess> Scheduler<L> {
         // the same lock before waiting, so this wake-up cannot be lost.
         let _g = self.park_lock.lock();
         self.park_cv.notify_one();
+    }
+
+    /// Inserts a remote event into its receiver's queue. Per-edge
+    /// deliveries are in send order (activations are serialized), so as
+    /// with CMB's FIFO channels the event itself also advances the
+    /// channel clock.
+    fn land(&self, d: Delivery<L::Msg>) {
+        if let Ok(mut st) = self.slots[d.dst].state.lock() {
+            let at = d.ev.time.seconds();
+            let clock = &mut st.in_clocks[d.idx].1;
+            debug_assert!(
+                at >= *clock,
+                "causality: LP {} got t={at} below its promised bound {clock}",
+                d.dst
+            );
+            *clock = clock.max(at);
+            st.k.queue.insert(d.ev);
+        }
     }
 
     /// Next LP for worker `me`: own deque first (FIFO for fairness),
@@ -428,22 +454,11 @@ impl<L: LogicalProcess> Scheduler<L> {
             // lsds-lint: allow(wall-clock) reason="scheduler load measurement for epoch rebalancing; feeds worker placement only, never simulated time or results"
             let wall_start = std::time::Instant::now();
             while did < self.cfg.batch as u64 {
-                let safe = st.safe_time();
-                let Some(t) = st.queue.peek_time() else {
-                    break;
-                };
                 // Strictly below the safe time (a message may still land
                 // exactly at `safe`), never beyond the horizon.
-                if !(t.seconds() < safe && t <= self.t_end) {
-                    break;
-                }
-                let Some(ev) = st.queue.pop_min() else {
-                    debug_assert!(false, "peeked event vanished");
+                let Some(ev) = st.k.pop(safe_time(&st.in_clocks), self.t_end) else {
                     break;
                 };
-                debug_assert!(ev.time >= st.clock, "causality violation");
-                st.clock = ev.time;
-                st.stats.events += 1;
                 did += 1;
                 if Y::ENABLED && tel.tick(ev.time.seconds()) {
                     // Deque depth of the executing worker at the sample
@@ -453,74 +468,20 @@ impl<L: LogicalProcess> Scheduler<L> {
                     let depth = self.deques[me].lock().map_or(0, |d| d.len());
                     tel.sample("ws.deque_len", me as u32, ev.time.seconds(), depth as f64);
                 }
-                let la = st.lookahead;
-                let LpState {
-                    lp: ref mut model,
-                    ref mut staged,
-                    ..
-                } = *st;
-                let mut ctx = LpCtx {
-                    now: ev.time,
-                    me: lp,
-                    lookahead: la,
-                    cause: ev.seq,
-                    staged,
-                };
-                model.handle(ev.time, ev.event, &mut ctx);
-                // Assign ties in staging order and route: locals back
-                // into our queue, remotes into the outbox.
-                for out in st.staged.drain(..) {
-                    let tie = tie_key(lp, st.seq);
-                    st.seq += 1;
-                    match out {
-                        Outgoing::Local { at, parent, msg } => {
-                            st.queue
-                                .insert(ScheduledEvent::with_parent(at, tie, parent, msg));
-                        }
-                        Outgoing::Remote {
-                            dst,
-                            at,
-                            parent,
-                            msg,
-                        } => {
-                            let Some(k) = slot.outs.iter().position(|(d, _)| *d == dst) else {
-                                debug_assert!(false, "send to undeclared out-neighbor");
-                                continue;
-                            };
-                            // Earlier nulls/events on this edge promised
-                            // `out_bounds[k]`; going below it would mean
-                            // the declared lookahead lied.
-                            debug_assert!(
-                                at.seconds() >= st.out_bounds[k],
-                                "causality: LP {lp} sending t={at} below its promised bound {} (lookahead violated)",
-                                st.out_bounds[k]
-                            );
-                            st.out_bounds[k] = st.out_bounds[k].max(at.seconds());
-                            st.stats.remote_sent += 1;
-                            outbox.push(Delivery {
-                                dst,
-                                idx: slot.outs[k].1,
-                                at,
-                                tie,
-                                parent,
-                                msg,
-                            });
-                        }
-                    }
-                }
+                st.k.deliver(ev, &mut NoopTracer);
+                st.flush(&slot.outs, outbox);
             }
             let spent = u64::try_from(wall_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             slot.cost_total_ns.fetch_add(spent, SeqCst);
             // New promises to publish once the staged events are out.
-            let lb = st.lower_bound(self.t_end);
+            let lb = st.k.lower_bound(safe_time(&st.in_clocks), self.t_end);
             for (k, &(dst, idx)) in slot.outs.iter().enumerate() {
                 if lb > st.out_bounds[k] {
                     st.out_bounds[k] = lb;
                     bounds.push((dst, idx, lb));
                 }
             }
-            let drained = st.queue.peek_time().is_none_or(|t| t > self.t_end);
-            if drained && st.safe_time() > self.t_end.seconds() {
+            if st.k.drained(self.t_end) && safe_time(&st.in_clocks) > self.t_end.seconds() {
                 st.done = true;
                 became_done = true;
             }
@@ -529,22 +490,8 @@ impl<L: LogicalProcess> Scheduler<L> {
         // the drained queue may exceed a staged event's timestamp, so the
         // event must land first.
         for d in outbox.drain(..) {
-            if let Ok(mut dst_st) = self.slots[d.dst].state.lock() {
-                debug_assert!(
-                    d.at.seconds() >= dst_st.in_clocks[d.idx].1,
-                    "causality: LP {lp} delivered t={} below its promised bound {}",
-                    d.at,
-                    dst_st.in_clocks[d.idx].1
-                );
-                // Per-edge deliveries are in send order (activations are
-                // serialized), so as with CMB's FIFO channels the event
-                // itself also advances the channel clock.
-                dst_st.in_clocks[d.idx].1 = dst_st.in_clocks[d.idx].1.max(d.at.seconds());
-                dst_st
-                    .queue
-                    .insert(ScheduledEvent::with_parent(d.at, d.tie, d.parent, d.msg));
-            }
             wake.push(d.dst);
+            self.land(d);
         }
         for (dst, idx, lb) in bounds.drain(..) {
             let advanced = match self.slots[dst].state.lock() {
@@ -606,16 +553,12 @@ impl<L: LogicalProcess> Scheduler<L> {
                 if st.done {
                     false
                 } else {
-                    let safe = st.safe_time();
-                    let runnable = st
-                        .queue
-                        .peek_time()
-                        .is_some_and(|t| t.seconds() < safe && t <= self.t_end);
-                    let drained = st.queue.peek_time().is_none_or(|t| t > self.t_end);
-                    let finishable = drained && safe > self.t_end.seconds();
+                    let safe = safe_time(&st.in_clocks);
+                    let runnable = st.k.runnable(safe, self.t_end);
+                    let finishable = st.k.drained(self.t_end) && safe > self.t_end.seconds();
                     // A higher in-clock can raise our own promise even
                     // with nothing runnable; neighbors may need it.
-                    let lb = st.lower_bound(self.t_end);
+                    let lb = st.k.lower_bound(safe, self.t_end);
                     let promotes = st.out_bounds.iter().any(|&b| lb > b);
                     runnable || finishable || promotes
                 }
@@ -738,16 +681,10 @@ where
     Y: Telemetry + Send,
 {
     let n = lps.len();
-    validate_edges(n, edges);
+    check_conservative(&lps, edges);
     assert!(cfg.batch >= 1, "batch must be at least 1");
     if let Some(epoch) = cfg.migration_epoch {
         assert!(epoch >= 1, "migration epoch must be at least 1");
-    }
-    for (i, lp) in lps.iter().enumerate() {
-        assert!(
-            lp.lookahead() > 0.0 && lp.lookahead().is_finite(),
-            "LP {i} must declare positive finite lookahead"
-        );
     }
     let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map_or(1, |c| c.get())
@@ -758,12 +695,13 @@ where
 
     // Build slots: per-LP state, channel clocks per in-edge, and the
     // static out-edge table pointing at each receiver's clock index.
-    let in_lists: Vec<Vec<LpId>> = (0..n).map(|d| crate::lp::in_neighbors(edges, d)).collect();
+    let in_lists: Vec<Vec<LpId>> = (0..n).map(|d| in_neighbors(edges, d)).collect();
     let mut slots: Vec<LpSlot<L>> = Vec::with_capacity(n);
     for (me, lp) in lps.into_iter().enumerate() {
-        let outs: Vec<(LpId, usize)> = crate::lp::out_neighbors(edges, me)
-            .into_iter()
-            .map(|d| {
+        let out_list = out_neighbors(edges, me);
+        let outs: Vec<(LpId, usize)> = out_list
+            .iter()
+            .map(|&d| {
                 let Some(idx) = in_lists[d].iter().position(|&s| s == me) else {
                     // lsds-lint: allow(hot-path-panic) reason="one-time topology construction before any worker starts; both lists derive from the same validated edge set"
                     unreachable!("out-edge without matching in-edge");
@@ -772,18 +710,12 @@ where
             })
             .collect();
         let lookahead = lp.lookahead();
-        let out_bounds = vec![0.0; outs.len()];
         slots.push(LpSlot {
             state: Mutex::new(LpState {
-                lp,
-                lookahead,
-                queue: PooledQueue::new(BinaryHeapQueue::new()),
+                k: Kernel::new(me, lp, lookahead, out_list),
                 in_clocks: in_lists[me].iter().map(|&s| (s, 0.0)).collect(),
-                out_bounds,
-                clock: SimTime::ZERO,
-                seq: 0,
+                out_bounds: vec![0.0; outs.len()],
                 done: false,
-                staged: Vec::new(),
                 stats: WsStats::default(),
             }),
             queued: AtomicBool::new(true),
@@ -817,67 +749,13 @@ where
     // directly (no promise can be violated — every channel clock is
     // still at its initial 0.0 and sends respect lookahead > 0).
     let mut initial_remote: Vec<Delivery<L::Msg>> = Vec::new();
-    for me in 0..n {
-        let slot = &sched.slots[me];
-        let Ok(mut guard) = slot.state.lock() else {
-            continue;
-        };
-        let st = &mut *guard;
-        let la = st.lookahead;
-        {
-            let LpState {
-                ref mut lp,
-                ref mut staged,
-                ..
-            } = *st;
-            let mut ctx = LpCtx {
-                now: SimTime::ZERO,
-                me,
-                lookahead: la,
-                cause: NO_PARENT,
-                staged,
-            };
-            lp.initial_events(&mut ctx);
-        }
-        for out in st.staged.drain(..) {
-            let tie = tie_key(me, st.seq);
-            st.seq += 1;
-            match out {
-                Outgoing::Local { at, parent, msg } => {
-                    st.queue
-                        .insert(ScheduledEvent::with_parent(at, tie, parent, msg));
-                }
-                Outgoing::Remote {
-                    dst,
-                    at,
-                    parent,
-                    msg,
-                } => {
-                    let Some(k) = slot.outs.iter().position(|(d, _)| *d == dst) else {
-                        debug_assert!(false, "initial send to undeclared out-neighbor");
-                        continue;
-                    };
-                    st.out_bounds[k] = st.out_bounds[k].max(at.seconds());
-                    st.stats.remote_sent += 1;
-                    initial_remote.push(Delivery {
-                        dst,
-                        idx: slot.outs[k].1,
-                        at,
-                        tie,
-                        parent,
-                        msg,
-                    });
-                }
-            }
+    for slot in &sched.slots {
+        if let Ok(mut st) = slot.state.lock() {
+            st.k.stage_initial();
+            st.flush(&slot.outs, &mut initial_remote);
         }
     }
-    for d in initial_remote {
-        if let Ok(mut st) = sched.slots[d.dst].state.lock() {
-            st.in_clocks[d.idx].1 = st.in_clocks[d.idx].1.max(d.at.seconds());
-            st.queue
-                .insert(ScheduledEvent::with_parent(d.at, d.tie, d.parent, d.msg));
-        }
-    }
+    initial_remote.into_iter().for_each(|d| sched.land(d));
 
     // Every LP starts queued (the flags were initialized `true`) so each
     // publishes its first bound even if it holds no events.
@@ -929,8 +807,11 @@ where
         // lsds-lint: allow(hot-path-panic) reason="post-run teardown: a panicked worker has already propagated through the thread scope"
         let st = slot.state.into_inner().expect("worker panicked");
         debug_assert!(st.done, "scheduler terminated with an unfinished LP");
-        lps_out.push(st.lp);
-        stats.push(st.stats);
+        stats.push(WsStats {
+            events: st.k.events,
+            ..st.stats
+        });
+        lps_out.push(st.k.lp);
     }
     (
         WsReport {

@@ -292,3 +292,78 @@ fn cmb_repeatable() {
         assert_eq!(a.total_remote(), b.total_remote());
     }
 }
+
+/// Ring node of the topology 0→1→2→0 whose LP 0 also sends to LP 2 —
+/// an edge the topology never declares.
+#[derive(Clone)]
+struct Stray {
+    seen: u64,
+}
+
+impl LogicalProcess for Stray {
+    type Msg = u64;
+    fn handle(&mut self, _now: SimTime, hop: u64, ctx: &mut LpCtx<'_, u64>) {
+        self.seen += 1;
+        ctx.send((ctx.me() + 1) % 3, 1.0, hop + 1);
+        if ctx.me() == 0 {
+            ctx.send(2, 1.0, hop + 1);
+        }
+    }
+    fn lookahead(&self) -> f64 {
+        1.0
+    }
+}
+
+impl InitialEvents for Stray {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, u64>) {
+        if ctx.me() == 0 {
+            ctx.schedule_in(0.0, 0);
+        }
+    }
+}
+
+impl SaveState for Stray {
+    type Saved = u64;
+    fn save(&self) -> u64 {
+        self.seen
+    }
+    fn restore(&mut self, saved: u64) {
+        self.seen = saved;
+    }
+}
+
+/// A send over an undeclared edge is a model bug that every edge-taking
+/// engine must reject the same way: a panic, never a silent drop on some
+/// engines and a delivery on others (which would make the sequential
+/// oracle disagree with CMB without any error).
+#[test]
+fn undeclared_edge_send_panics_on_every_engine() {
+    let lps = || vec![Stray { seen: 0 }; 3];
+    let edges = ring_edges(3);
+    let t_end = SimTime::new(10.0);
+    let outcomes = [
+        (
+            "sequential",
+            std::panic::catch_unwind(|| run_sequential(lps(), &edges, t_end).total_events()),
+        ),
+        (
+            "cmb",
+            std::panic::catch_unwind(|| run_cmb(lps(), &edges, t_end).total_events()),
+        ),
+        (
+            "timewarp",
+            std::panic::catch_unwind(|| run_timewarp(lps(), &edges, t_end).total_events()),
+        ),
+        (
+            "worksteal",
+            std::panic::catch_unwind(|| run_worksteal(lps(), &edges, t_end).total_events()),
+        ),
+    ];
+    for (engine, outcome) in outcomes {
+        assert!(
+            outcome.is_err(),
+            "{engine} accepted a send over an undeclared edge ({:?} events)",
+            outcome.ok()
+        );
+    }
+}
