@@ -14,7 +14,7 @@
 //! to lookahead; [`CmbStats::nulls_sent`] exposes it and experiment E4
 //! sweeps it.
 
-use crate::kernel::{check_conservative, run_per_thread, safe_time, Kernel};
+use crate::kernel::{check_conservative, run_per_thread, safe_time, Inbox, Kernel};
 pub use crate::lp::InitialEvents;
 use crate::lp::*;
 use lsds_core::{EventQueue, ScheduledEvent, SimTime};
@@ -22,7 +22,7 @@ use lsds_obs::{
     EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanTrace, Telemetry,
     TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
 };
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 
 /// Per-LP execution counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,7 +33,8 @@ pub struct CmbStats {
     pub nulls_sent: u64,
     /// Real messages sent to other LPs.
     pub remote_sent: u64,
-    /// Blocking waits for input.
+    /// Waits for input entered: one per wait, whether a packet arrived
+    /// while the thread still spun or only after it parked.
     pub blocks: u64,
 }
 
@@ -111,7 +112,7 @@ struct Engine<'a, L: InitialEvents, T: Tracer, Y: Telemetry> {
     outs: Vec<(&'a Sender<Tagged<L::Msg>>, f64)>,
     /// Owned: `mpsc::Receiver` is `!Sync`, so each LP thread takes its
     /// receiver with it rather than borrowing from a shared table.
-    rx: Receiver<Tagged<L::Msg>>,
+    rx: Inbox<Tagged<L::Msg>>,
     stats: CmbStats,
     t_end: SimTime,
 }
@@ -257,7 +258,9 @@ where
 
 /// Like [`run_cmb`], but records scheduler telemetry — per-LP null
 /// messages, blocked wall time, and sampled queue lengths — into one
-/// [`EngineTelemetry`] sink per LP, merged after the run.
+/// [`EngineTelemetry`] sink per LP, merged after the run. The blocked
+/// time (`cmb.blocked_ns`) covers each whole wait for input: the spin
+/// and, if it comes to that, the park.
 ///
 /// Telemetry only observes: the returned [`CmbReport`] is bit-identical
 /// to a plain [`run_cmb`] run's.

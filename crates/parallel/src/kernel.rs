@@ -3,14 +3,150 @@
 //! Each engine is a synchronization policy around this shared machinery:
 //! the [`Outbox`] stamping drain (tie keys in staging order, routing over
 //! declared edges only), the [`Kernel`] event state with its pop, traced
-//! delivery and flush steps and the conservative lower bound, and the
-//! [`run_per_thread`] executor. The engines keep only *when* an event is
-//! safe to pop and *how* events and promises reach a neighbor.
+//! delivery and flush steps and the conservative lower bound, the
+//! [`run_per_thread`] executor, and the one way a thread waits (a bounded
+//! spin, then a park: [`Inbox::recv`] and [`Parking`]). The engines keep
+//! only *when* an event is safe to pop, *how* events and promises reach a
+//! neighbor, and *what* a waiting thread waits for.
 
 use crate::lp::{tie_key, validate_edges, InitialEvents, LogicalProcess, LpCtx, LpId, Outgoing};
 use lsds_core::{BinaryHeapQueue, EventQueue, PooledQueue, ScheduledEvent, SimTime, NO_PARENT};
 use lsds_obs::{SpanKind, Tracer};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryIter, TryRecvError};
+use std::sync::{Condvar, Mutex, PoisonError};
+
+/// Polls of a wait condition before the waiting thread parks. At ~18 ns
+/// per `spin_loop` iteration on a 2-vCPU Xeon this is ~4-5 µs: long
+/// enough to catch a peer's hand-off on a core of its own, short of a
+/// futex sleep/wake round trip.
+const SPIN_POLLS: u32 = 256;
+
+/// The spin budget of an engine that runs `threads` threads at once: none
+/// when they outnumber the cores, where a spinning waiter only holds a
+/// core the thread it waits for may need.
+fn spin_budget(threads: usize) -> u32 {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    if threads > cores {
+        0
+    } else {
+        SPIN_POLLS
+    }
+}
+
+/// Polls `poll` up to `budget` times, hinting a spin loop between polls,
+/// and returns its first `Some`.
+#[inline]
+fn spin<T>(budget: u32, mut poll: impl FnMut() -> Option<T>) -> Option<T> {
+    for _ in 0..budget {
+        if let Some(v) = poll() {
+            return Some(v);
+        }
+        std::hint::spin_loop();
+    }
+    None
+}
+
+/// An LP thread's mailbox.
+pub(crate) struct Inbox<P> {
+    rx: Receiver<P>,
+    /// Spin budget of the run, from [`spin_budget`].
+    spin: u32,
+}
+
+impl<P> Inbox<P> {
+    /// The next packet, if one is waiting.
+    #[inline]
+    pub(crate) fn try_recv(&self) -> Result<P, TryRecvError> {
+        self.rx.try_recv()
+    }
+
+    /// Every packet waiting now.
+    pub(crate) fn try_iter(&self) -> TryIter<'_, P> {
+        self.rx.try_iter()
+    }
+
+    /// Waits for the next packet: polls for the spin budget, then parks
+    /// in a blocking receive. Fails once every sender is gone and the
+    /// channel is drained.
+    pub(crate) fn recv(&self) -> Result<P, RecvError> {
+        spin(self.spin, || match self.rx.try_recv() {
+            Ok(p) => Some(Ok(p)),
+            Err(TryRecvError::Empty) => None,
+            Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
+        })
+        .unwrap_or_else(|| self.rx.recv())
+    }
+}
+
+/// Threads waiting for a condition on shared state, woken only when one
+/// of them sleeps.
+///
+/// A waiter polls the condition for its spin budget, then registers as a
+/// sleeper and re-checks the condition under the lock before each park.
+/// A notifier first publishes the state the condition reads, then reads
+/// the sleeper count; both sides use `SeqCst`, so either the notifier
+/// sees the sleeper and wakes it under the lock, or the sleeper's
+/// re-check sees the published state. No wake-up is lost, and a notifier
+/// with no sleeper makes no syscall.
+pub(crate) struct Parking {
+    /// Spin budget of a waiter, from [`spin_budget`].
+    spin: u32,
+    sleepers: AtomicUsize,
+    /// Guards nothing but the re-check-then-park step; the state lives
+    /// in the callers' atomics.
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Parking {
+    /// Parking for the waiters of an engine that runs `threads` threads.
+    pub(crate) fn new(threads: usize) -> Self {
+        Parking {
+            spin: spin_budget(threads),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Returns once `ready()` holds: polls it for the spin budget, then
+    /// parks until a notifier wakes the thread and it holds. `ready` must
+    /// read only state its notifiers publish with `SeqCst` before
+    /// notifying. Returns whether the thread parked.
+    pub(crate) fn wait(&self, ready: impl Fn() -> bool) -> bool {
+        if spin(self.spin, || ready().then_some(())).is_some() {
+            return false;
+        }
+        self.sleepers.fetch_add(1, SeqCst);
+        // The mutex guards `()`, so a poisoned lock holds nothing broken.
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut parked = false;
+        while !ready() {
+            parked = true;
+            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(guard);
+        self.sleepers.fetch_sub(1, SeqCst);
+        parked
+    }
+
+    /// Wakes one sleeper, if any; call after publishing the state.
+    pub(crate) fn wake_one(&self) {
+        if self.sleepers.load(SeqCst) > 0 {
+            let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wakes every sleeper, if any; call after publishing the state.
+    pub(crate) fn wake_all(&self) {
+        if self.sleepers.load(SeqCst) > 0 {
+            let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+            self.cv.notify_all();
+        }
+    }
+}
 
 /// An LP's staged sends and the stamping/routing step that drains them.
 pub(crate) struct Outbox<M> {
@@ -252,6 +388,7 @@ impl<L: LogicalProcess> Kernel<L> {
 ///
 /// Each thread runs `body(me, lp, inbox, mail, tracer, telemetry)`: LP
 /// `me` receives packets on `inbox` and reaches LP `d` through `mail[d]`.
+/// The inbox's spin budget is [`spin_budget`] of the LP count.
 /// A thread that unwinds first calls `on_unwind(me, mail)`, which must
 /// release every peer that could block on it forever; the original panic
 /// then propagates to the caller.
@@ -259,7 +396,7 @@ pub(crate) fn run_per_thread<L, P, S, T, Y>(
     lps: Vec<L>,
     mk_tracer: impl Fn(LpId) -> T,
     mk_tel: impl Fn(LpId) -> Y,
-    body: impl Fn(LpId, L, Receiver<P>, &[Sender<P>], T, Y) -> (L, S, T, Y) + Sync,
+    body: impl Fn(LpId, L, Inbox<P>, &[Sender<P>], T, Y) -> (L, S, T, Y) + Sync,
     on_unwind: impl Fn(LpId, &[Sender<P>]) + Sync,
 ) -> (Vec<L>, Vec<S>, Vec<T>, Vec<Y>)
 where
@@ -277,7 +414,14 @@ where
             }
         }
     }
-    let (mail, inboxes): (Vec<Sender<P>>, Vec<Receiver<P>>) = lps.iter().map(|_| channel()).unzip();
+    let spin = spin_budget(lps.len());
+    let (mail, inboxes): (Vec<Sender<P>>, Vec<Inbox<P>>) = lps
+        .iter()
+        .map(|_| {
+            let (tx, rx) = channel();
+            (tx, Inbox { rx, spin })
+        })
+        .unzip();
     let (mail, body, on_unwind) = (&mail[..], &body, &on_unwind);
     let mut cols = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     std::thread::scope(|scope| {

@@ -8,16 +8,22 @@
 //! trade-off against [`crate::cmb`] is classic: no null messages, but every
 //! LP pays for every window — idle partitions wait at the barrier
 //! (measured in experiment E4).
+//!
+//! The barrier waits the kernel's way: a bounded spin, then a park that
+//! only the last arrival wakes, and only if someone sleeps. With no more
+//! LPs than cores, a window whose peers arrive within a few microseconds
+//! of each other costs no system call; a kernel barrier paid a futex
+//! sleep and wake per LP per window, most of a sync-bound run's CPU.
 
-use crate::kernel::{run_per_thread, Kernel};
+use crate::kernel::{run_per_thread, Kernel, Parking};
 use crate::lp::*;
 use lsds_core::{EventQueue, ScheduledEvent, SimTime};
 use lsds_obs::{
     EngineTelemetry, NoopTelemetry, NoopTracer, Registry, RingTracer, SpanTrace, Telemetry,
     TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
 };
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::mpsc::Sender;
-use std::sync::Barrier;
 
 /// Result of a time-stepped parallel run.
 #[derive(Debug)]
@@ -62,7 +68,9 @@ where
 
 /// Like [`run_timestep`], but records scheduler telemetry — per-LP barrier
 /// waits, barrier wall time, and sampled queue lengths — into one
-/// [`EngineTelemetry`] sink per LP, merged after the run.
+/// [`EngineTelemetry`] sink per LP, merged after the run. The barrier
+/// time (`ts.barrier_ns`) covers each whole wait: the spin and, if it
+/// comes to that, the park.
 ///
 /// Telemetry only observes: the returned [`TimestepReport`] is
 /// bit-identical to a plain [`run_timestep`] run's.
@@ -112,6 +120,53 @@ where
     (report, trace)
 }
 
+/// The window barrier of `n` LP threads. A generation count tells a
+/// waiter that its window closed; breaking the barrier releases every
+/// waiter, present and future.
+struct WindowBarrier {
+    n: usize,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    broken: AtomicBool,
+    parking: Parking,
+}
+
+impl WindowBarrier {
+    fn new(n: usize) -> Self {
+        WindowBarrier {
+            n,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            broken: AtomicBool::new(false),
+            parking: Parking::new(n),
+        }
+    }
+
+    /// Waits until all `n` LPs have arrived. Returns false if the
+    /// barrier was broken instead.
+    fn wait(&self) -> bool {
+        // The generation cannot move before this LP arrives.
+        let gen = self.generation.load(SeqCst);
+        if self.arrived.fetch_add(1, SeqCst) + 1 == self.n {
+            // Reset before publishing: a peer re-arrives only after it
+            // sees the new generation.
+            self.arrived.store(0, SeqCst);
+            self.generation.store(gen + 1, SeqCst);
+            self.parking.wake_all();
+        } else {
+            self.parking
+                .wait(|| self.generation.load(SeqCst) != gen || self.broken.load(SeqCst));
+        }
+        !self.broken.load(SeqCst)
+    }
+
+    /// Releases every waiter for the rest of the run.
+    fn break_barrier(&self) {
+        self.broken.store(true, SeqCst);
+        self.parking.wake_all();
+    }
+}
+
 fn run_timestep_with<L, T, Y>(
     lps: Vec<L>,
     delta: f64,
@@ -134,7 +189,7 @@ where
         );
     }
     let windows = (t_end.seconds() / delta).ceil() as u64;
-    let barrier = Barrier::new(n);
+    let barrier = WindowBarrier::new(n);
     let (lps, events, tracers, tels) = run_per_thread(
         lps,
         mk_tracer,
@@ -175,14 +230,20 @@ where
             for w in 0..windows {
                 rx.try_iter().for_each(|ev| k.queue.insert(ev));
                 step(&mut k, &mut tracer, &mut tel, (w + 1) as f64 * delta);
-                if Y::ENABLED {
+                let passed = if Y::ENABLED {
                     tel.inc("ts.barrier_waits", me as u32, 1);
                     // lsds-lint: allow(wall-clock) reason="telemetry measures host time waiting at the window barrier; never feeds back into simulated time or delivery order"
                     let from = std::time::Instant::now();
-                    barrier.wait();
+                    let passed = barrier.wait();
                     tel.inc("ts.barrier_ns", me as u32, from.elapsed().as_nanos() as u64);
+                    passed
                 } else {
-                    barrier.wait();
+                    barrier.wait()
+                };
+                if !passed {
+                    // A peer panicked; its panic, not this partial
+                    // result, reaches the caller.
+                    return (k.lp, k.events, tracer, tel);
                 }
             }
             // Closing phase: events landing exactly on t_end (the
@@ -191,9 +252,8 @@ where
             step(&mut k, &mut tracer, &mut tel, f64::INFINITY);
             (k.lp, k.events, tracer, tel)
         },
-        // `Barrier` cannot be broken, so peers waiting at it are not
-        // released: a panicking LP still hangs a timestep run.
-        |_, _| {},
+        // A dead LP never arrives: break the barrier so its peers leave.
+        |_, _| barrier.break_barrier(),
     );
     (
         TimestepReport {

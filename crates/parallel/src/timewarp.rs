@@ -27,7 +27,7 @@
 //! point of optimism), because a zero-delay cross-LP send would make the
 //! canonical order of equal-time events depend on message arrival timing.
 
-use crate::kernel::{run_per_thread, Outbox};
+use crate::kernel::{run_per_thread, Inbox, Outbox};
 use crate::lp::*;
 use lsds_core::{EventPool, ScheduledEvent, SimTime};
 use lsds_obs::{
@@ -35,7 +35,7 @@ use lsds_obs::{
     Telemetry, TelemetryConfig, TelemetryReport, TraceConfig, Tracer,
 };
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 
 /// State snapshotting hook for optimistic execution.
 ///
@@ -108,7 +108,8 @@ pub struct TwStats {
     pub token_visits: u64,
     /// GVT evaluation rounds completed (non-zero only at LP 0).
     pub gvt_rounds: u64,
-    /// Blocking waits for input.
+    /// Waits for input entered: one per wait, whether a packet arrived
+    /// while the thread still spun or only after it parked.
     pub blocks: u64,
 }
 
@@ -306,7 +307,7 @@ struct Engine<L: SaveState, T: Tracer, Y: Telemetry> {
     /// Min timestamp sent (positive or anti) since the token's last visit.
     min_sent: f64,
     txs: Vec<Sender<TwPacket<L::Msg>>>,
-    rx: Receiver<TwPacket<L::Msg>>,
+    rx: Inbox<TwPacket<L::Msg>>,
     stats: TwStats,
     cfg: TwConfig,
     t_end: SimTime,
@@ -727,8 +728,8 @@ where
                 did += 1;
             }
             if did == 0 && self.token.is_none() {
-                // Nothing executable and no token to forward: sleep until
-                // a message (or the token, or Stop) wakes us.
+                // Nothing executable and no token to forward: wait for a
+                // message, the token or Stop.
                 self.stats.blocks += 1;
                 match self.rx.recv() {
                     Ok(packet) => self.apply(packet),

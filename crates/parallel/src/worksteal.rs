@@ -47,7 +47,7 @@
 //! from the drained queue — above the in-flight events' timestamps — and
 //! the receiver could run past a message that had not landed yet.
 
-use crate::kernel::{check_conservative, safe_time, Kernel};
+use crate::kernel::{check_conservative, safe_time, Kernel, Parking};
 use crate::lp::*;
 use lsds_core::{EventQueue, ScheduledEvent, SimTime};
 use lsds_obs::{
@@ -56,7 +56,7 @@ use lsds_obs::{
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Tuning knobs for the work-stealing engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,7 +107,8 @@ pub struct WsSchedStats {
     pub workers: usize,
     /// Activations taken from another worker's deque.
     pub steals: u64,
-    /// Times a worker went to sleep with no runnable LP anywhere.
+    /// Times a worker parked its thread with no runnable LP anywhere. An
+    /// idle wait that ends while the worker still spins is not a park.
     pub parks: u64,
     /// Channel-clock advances written into neighbor state — the
     /// shared-memory analog of CMB null messages.
@@ -283,8 +284,8 @@ struct Delivery<M> {
 struct Scheduler<L: LogicalProcess> {
     slots: Vec<LpSlot<L>>,
     deques: Vec<Mutex<VecDeque<LpId>>>,
-    park_lock: Mutex<()>,
-    park_cv: Condvar,
+    /// Idle workers wait here for `pending`, `live` or `failed` to change.
+    parking: Parking,
     /// LPs currently sitting in some deque.
     pending: AtomicUsize,
     /// LPs that have not finished yet; 0 terminates the workers.
@@ -324,10 +325,7 @@ impl<L: LogicalProcess> Scheduler<L> {
             dq.push_back(lp);
         }
         self.pending.fetch_add(1, SeqCst);
-        // Notify under the park lock: a worker re-checks `pending` under
-        // the same lock before waiting, so this wake-up cannot be lost.
-        let _g = self.park_lock.lock();
-        self.park_cv.notify_one();
+        self.parking.wake_one();
     }
 
     /// Inserts a remote event into its receiver's queue. Per-edge
@@ -516,8 +514,7 @@ impl<L: LogicalProcess> Scheduler<L> {
         }
         if became_done && self.live.fetch_sub(1, SeqCst) == 1 {
             // Last LP finished: release every parked worker.
-            let _g = self.park_lock.lock();
-            self.park_cv.notify_all();
+            self.parking.wake_all();
         }
         if did > 0 {
             if let Some(epoch) = self.cfg.migration_epoch {
@@ -580,8 +577,7 @@ impl<L: LogicalProcess> Scheduler<L> {
             fn drop(&mut self) {
                 if std::thread::panicking() {
                     self.0.failed.store(true, SeqCst);
-                    let _g = self.0.park_lock.lock();
-                    self.0.park_cv.notify_all();
+                    self.0.parking.wake_all();
                 }
             }
         }
@@ -597,21 +593,17 @@ impl<L: LogicalProcess> Scheduler<L> {
                 self.activate(me, lp, &mut tel, &mut outbox, &mut bounds, &mut wake);
                 continue;
             }
-            let Ok(g) = self.park_lock.lock() else {
-                return tel;
+            let ready = || {
+                self.pending.load(SeqCst) > 0
+                    || self.live.load(SeqCst) == 0
+                    || self.failed.load(SeqCst)
             };
-            if self.live.load(SeqCst) == 0 || self.failed.load(SeqCst) {
-                return tel;
+            if self.parking.wait(ready) {
+                self.parks.fetch_add(1, SeqCst);
+                if Y::ENABLED {
+                    tel.inc("ws.parks", me as u32, 1);
+                }
             }
-            if self.pending.load(SeqCst) > 0 {
-                continue;
-            }
-            self.parks.fetch_add(1, SeqCst);
-            if Y::ENABLED {
-                tel.inc("ws.parks", me as u32, 1);
-            }
-            // Spurious wake-ups are fine: the loop re-checks everything.
-            drop(self.park_cv.wait(g));
         }
     }
 }
@@ -728,8 +720,7 @@ where
     let sched = Scheduler {
         slots,
         deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-        park_lock: Mutex::new(()),
-        park_cv: Condvar::new(),
+        parking: Parking::new(workers),
         pending: AtomicUsize::new(0),
         live: AtomicUsize::new(n),
         failed: AtomicBool::new(false),

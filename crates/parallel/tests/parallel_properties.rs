@@ -10,10 +10,12 @@
 use lsds_core::SimTime;
 use lsds_parallel::cmb::InitialEvents;
 use lsds_parallel::{
-    run_cmb, run_sequential, run_timestep, run_timewarp, run_worksteal, LogicalProcess, LpCtx,
-    SaveState,
+    run_cmb, run_sequential, run_timestep, run_timewarp, run_worksteal, run_worksteal_cfg,
+    LogicalProcess, LpCtx, SaveState, WsConfig,
 };
 use lsds_stats::SimRng;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 const TRIALS: u64 = 24;
 
@@ -365,5 +367,180 @@ fn undeclared_edge_send_panics_on_every_engine() {
             "{engine} accepted a send over an undeclared edge ({:?} events)",
             outcome.ok()
         );
+    }
+}
+
+/// Wall-clock limit of one engine run in the tests below: far beyond what
+/// any of them needs, so only a hang trips it.
+const DEADLINE: Duration = Duration::from_secs(20);
+
+/// Runs `f` on a helper thread and returns its outcome, panic included.
+/// A run that misses [`DEADLINE`] fails the test instead of hanging the
+/// suite; its thread is left behind, since a hung thread cannot be joined.
+fn within_deadline<R: Send + 'static>(
+    what: &str,
+    f: impl FnOnce() -> R + Send + 'static,
+) -> std::thread::Result<R> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        tx.send(catch_unwind(AssertUnwindSafe(f))).ok();
+    });
+    rx.recv_timeout(DEADLINE)
+        .unwrap_or_else(|_| panic!("{what}: no result within {DEADLINE:?}; the run hung"))
+}
+
+/// Ring node whose LP 1 panics at t = 5.
+#[derive(Clone)]
+struct Fragile(Ring);
+
+impl LogicalProcess for Fragile {
+    type Msg = u64;
+    fn handle(&mut self, now: SimTime, hop: u64, ctx: &mut LpCtx<'_, u64>) {
+        if ctx.me() == 1 && now.seconds() >= 5.0 {
+            panic!("fragile LP 1 fails at t={now}");
+        }
+        self.0.handle(now, hop, ctx);
+    }
+    fn lookahead(&self) -> f64 {
+        self.0.lookahead()
+    }
+}
+
+impl InitialEvents for Fragile {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, u64>) {
+        self.0.initial_events(ctx);
+    }
+}
+
+impl SaveState for Fragile {
+    type Saved = u64;
+    fn save(&self) -> u64 {
+        self.0.save()
+    }
+    fn restore(&mut self, saved: u64) {
+        self.0.restore(saved);
+    }
+}
+
+/// A panicking LP must not hang a thread-per-LP engine: its peers are
+/// released and the caller gets the LP's own panic.
+#[test]
+fn lp_panic_reaches_caller_on_every_thread_per_lp_engine() {
+    type Run = fn(Vec<Fragile>, &[(usize, usize)], SimTime) -> u64;
+    let engines: [(&str, Run); 3] = [
+        ("cmb", |l, e, t| run_cmb(l, e, t).total_events()),
+        ("timestep", |l, _, t| run_timestep(l, 1.0, t).total_events()),
+        ("timewarp", |l, e, t| run_timewarp(l, e, t).total_events()),
+    ];
+    for n in [2, 4] {
+        for (engine, run) in engines {
+            let lps: Vec<Fragile> = ring(n, 1.0).into_iter().map(Fragile).collect();
+            let outcome = within_deadline(&format!("{engine} with {n} LPs"), move || {
+                run(lps, &ring_edges(n), SimTime::new(20.0))
+            });
+            let Err(payload) = outcome else {
+                panic!("{engine} with {n} LPs finished despite a panicking LP");
+            };
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                msg.starts_with("fragile LP 1 fails"),
+                "{engine} with {n} LPs raised {msg:?}, not the LP's own panic"
+            );
+        }
+    }
+}
+
+/// Seeds per engine and size in the lost-wakeup stress below.
+const STRESS_SEEDS: u64 = 50;
+
+/// LP 0 runs a chain of local events and every other LP has none, so a
+/// work-stealing pool with a worker per LP keeps all but one worker idle.
+#[derive(Clone)]
+struct Chain {
+    seen: u64,
+}
+
+impl LogicalProcess for Chain {
+    type Msg = ();
+    fn handle(&mut self, _now: SimTime, _: (), ctx: &mut LpCtx<'_, ()>) {
+        self.seen += 1;
+        ctx.schedule_in(0.01, ());
+    }
+    fn lookahead(&self) -> f64 {
+        1.0
+    }
+}
+
+impl InitialEvents for Chain {
+    fn initial_events(&mut self, ctx: &mut LpCtx<'_, ()>) {
+        if ctx.me() == 0 {
+            ctx.schedule_in(0.0, ());
+        }
+    }
+}
+
+/// Lost-wakeup stress on both wait paths. A one-token ring with a
+/// trivial handler makes every LP (or worker) wait between hops, so runs
+/// are almost all hand-offs; a [`Chain`] leaves work-stealing workers
+/// idle for whole runs. `cores` threads take the spin-then-park path;
+/// `cores + 2` outnumber the cores and park at once. Every run must
+/// finish within the deadline and match `run_sequential` exactly.
+#[test]
+fn waits_lose_no_wakeup_spinning_or_parked() {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    // Threads at or below the core count spin first (a one-core host has
+    // no such ring: every run there parks at once).
+    for n in [cores.clamp(2, 4), cores + 2] {
+        let mut parks = 0;
+        for seed in 0..STRESS_SEEDS {
+            let mut rng = SimRng::new(0x5717 + seed);
+            let delay = rng.range_f64(0.5, 1.5);
+            let t_end = SimTime::new(delay * (40 + rng.next_below(80)) as f64 * 0.999);
+            let chain_end = SimTime::new(20.0 + rng.next_below(40) as f64);
+            let edges = ring_edges(n);
+            let seq = run_sequential(ring(n, delay), &edges, t_end);
+            let want: Vec<u64> = seq.lps.iter().map(|l| l.seen).collect();
+            let chain_seq = run_sequential(vec![Chain { seen: 0 }; n], &[], chain_end);
+            let ws_cfg = WsConfig {
+                workers: n,
+                ..WsConfig::default()
+            };
+            let (runs, chain) = within_deadline(&format!("n={n} seed={seed}"), move || {
+                let seen = |lps: &[Ring]| lps.iter().map(|l| l.seen).collect::<Vec<_>>();
+                let cmb = run_cmb(ring(n, delay), &edges, t_end);
+                let ts = run_timestep(ring(n, delay), delay, t_end);
+                let tw = run_timewarp(ring(n, delay), &edges, t_end);
+                let ws = run_worksteal_cfg(ring(n, delay), &edges, t_end, ws_cfg);
+                let chain = run_worksteal_cfg(vec![Chain { seen: 0 }; n], &[], chain_end, ws_cfg);
+                let runs = [
+                    ("cmb", seen(&cmb.lps), cmb.total_events()),
+                    ("timestep", seen(&ts.lps), ts.total_events()),
+                    ("timewarp", seen(&tw.lps), tw.total_events()),
+                    ("worksteal", seen(&ws.lps), ws.total_events()),
+                ];
+                (runs, chain)
+            })
+            .unwrap_or_else(|p| resume_unwind(p));
+            for (engine, got, events) in runs {
+                assert_eq!(got, want, "{engine} state: n={n} seed={seed}");
+                assert_eq!(
+                    events,
+                    seq.total_events(),
+                    "{engine} events: n={n} seed={seed}"
+                );
+            }
+            assert_eq!(
+                chain.lps[0].seen, chain_seq.lps[0].seen,
+                "chain: n={n} seed={seed}"
+            );
+            assert_eq!(chain.total_events(), chain_seq.total_events());
+            parks += chain.sched.parks;
+        }
+        if n > cores {
+            assert!(parks > 0, "{n} workers with one runnable LP never parked");
+        }
     }
 }
